@@ -3,7 +3,8 @@ package toc
 // One benchmark per paper table and figure (deliverable d): each wraps the
 // corresponding internal/bench experiment runner, so `go test -bench=.`
 // regenerates every artifact. cmd/tocbench prints the same tables with
-// full control over scale; EXPERIMENTS.md records paper-vs-measured.
+// full control over scale; README.md, "Reproducing the paper's
+// evaluation", says what each reproduces and where it differs.
 //
 // Micro-benchmarks for the core TOC pipeline (compress, decompress, the
 // four multiplication kernels vs CSR/DEN) follow the experiment wrappers.
@@ -78,6 +79,7 @@ func benchBatch(b *testing.B) *matrix.Dense {
 func BenchmarkTOCCompress(b *testing.B) {
 	m := benchBatch(b)
 	b.SetBytes(int64(m.SerializedSize()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Compress(m)

@@ -7,8 +7,9 @@
 // Absolute numbers differ from the paper (Go on a laptop vs C++ on a 2019
 // cloud VM, synthetic stand-in datasets, scaled-down sizes); what each
 // experiment reproduces is the paper's *shape*: which method wins, by
-// roughly what factor, and where the crossovers fall. EXPERIMENTS.md
-// records paper-vs-measured for every experiment.
+// roughly what factor, and where the crossovers fall. README.md,
+// "Reproducing the paper's evaluation", lists the experiments and the
+// substitutions behind them.
 package bench
 
 import (

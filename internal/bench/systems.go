@@ -7,8 +7,8 @@ import "time"
 // differ from the C++ rows by per-batch dispatch overheads and encoding
 // choice, not by algorithm; this model applies multipliers — calibrated to
 // the paper's reported same-regime gaps — to our measured native runtimes.
-// DESIGN.md §4 documents the substitution; the modeled rows are marked in
-// every table that uses them.
+// README.md, "Reproducing the paper's evaluation", documents the
+// substitution; the modeled rows are marked in every table that uses them.
 
 // systemMultiplier returns the runtime multiplier of a system
 // configuration relative to the native run of its underlying encoding.

@@ -67,31 +67,31 @@ func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 // CompressVariant encodes a dense mini-batch using the given layer subset.
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 	b := &Batch{rows: m.Rows(), cols: m.Cols(), variant: v}
-	sparse := SparseEncode(m)
 	if v == SparseOnly {
-		starts := make([]uint32, len(sparse)+1)
-		nnz := 0
-		for i, sr := range sparse {
-			starts[i] = uint32(nnz)
-			nnz += len(sr)
-		}
-		starts[len(sparse)] = uint32(nnz)
-		b.srStarts = starts
-		b.srCols = make([]uint32, 0, nnz)
-		b.srVals = make([]float64, 0, nnz)
-		for _, sr := range sparse {
-			for _, p := range sr {
-				b.srCols = append(b.srCols, p.Col)
-				b.srVals = append(b.srVals, p.Val)
-			}
-		}
+		b.sparseEncode(m)
 	} else {
-		I, D := PrefixTreeEncode(sparse)
-		b.i = I
-		b.d = flattenD(D)
+		b.i, b.d = prefixTreeEncodeDense(m)
 	}
 	b.img = b.buildImage()
 	return b
+}
+
+// sparseEncode fills the SparseOnly layout straight from m's rows.
+func (b *Batch) sparseEncode(m *matrix.Dense) {
+	nnz := m.NNZ()
+	b.srStarts = make([]uint32, 0, b.rows+1)
+	b.srCols = make([]uint32, 0, nnz)
+	b.srVals = make([]float64, 0, nnz)
+	for r := 0; r < b.rows; r++ {
+		b.srStarts = append(b.srStarts, uint32(len(b.srCols)))
+		for c, v := range m.Row(r) {
+			if v != 0 {
+				b.srCols = append(b.srCols, uint32(c))
+				b.srVals = append(b.srVals, v)
+			}
+		}
+	}
+	b.srStarts = append(b.srStarts, uint32(len(b.srCols)))
 }
 
 // Rows returns the number of tuples in the mini-batch.
